@@ -115,9 +115,9 @@ class DeferredOpManager:
     def pending_keys(self) -> List[Hashable]:
         """Keys announced but not yet agreed, in announcement order.
 
-        Used by the multiprocess runtime backend: replica announcements
-        happen in forked copies of this manager, so once the replicas'
-        call streams are verified byte-identical over the wire, the parent
-        endorses the driver's announcements on their behalf.
+        Used by the runtime's gang backends: once the replicas' call
+        streams are verified byte-identical over the wire, the driver
+        endorses its announcements on their behalf (forked replicas
+        announce only into their own copies of this manager).
         """
         return list(self._announce_order)

@@ -9,15 +9,14 @@ Three ways to run the same :class:`~repro.dist.programs.ProgramSpec`:
 * :class:`DistRunner` with ``backend="loopback"`` — one thread per shard
   over a :class:`~repro.dist.transport.LoopbackFabric`.  Real collective
   schedules, real frames, one process; what the unit tests use.
-* :class:`DistRunner` with ``backend="multiprocess"`` — one forked OS
-  process per shard over a :class:`~repro.dist.transport.PipeFabric`.
-  The paper's actual deployment shape: replicas share nothing but pipes.
+* :class:`DistRunner` with a process backend (``"multiprocess"``,
+  ``"shm"``, ``"tcp"``) — one forked OS process per shard over the
+  matching fabric.  The paper's actual deployment shape: replicas share
+  nothing but the fabric.
 
-Supervision guarantees for the multiprocess path (the ISSUE's "no orphaned
-workers" criterion): every worker is joined with a hard deadline, any
-failure or timeout terminates the whole gang, and the ``finally`` block
-re-terminates and re-joins anything still alive before returning or
-raising.
+Both start through :func:`launch_gang`, as do the runtime's replica
+backends.  No orphaned workers: every rank reports under one shared
+deadline, and a ``finally`` sweep reaps every forked rank still alive.
 """
 
 from __future__ import annotations
@@ -26,18 +25,18 @@ import multiprocessing
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..core.determinism import ShardHasher, stream_digest
 from ..core.pipeline import DCRPipeline, analysis_digest, fence_sequence
 from .programs import ProgramSpec, build_field, build_operations
+from . import transport as fabrics
 from .report import MergedReport, ShardReport, merge_reports
-from .transport import (DEFAULT_DEADLINE_S, PROCESS_BACKENDS,
-                        LoopbackFabric, fabric_for_backend)
+from .transport import DEFAULT_DEADLINE_S, PROCESS_BACKENDS
 from .worker import ShardWorker, replay
 
 __all__ = ["DistRunner", "ServiceRunner", "run_reference", "BACKENDS",
-           "supervise_gang", "terminate_gang"]
+           "launch_gang", "supervise_gang", "terminate_gang"]
 
 #: "loopback" threads transports in one process; the rest fork one worker
 #: process per shard over the matching fabric ("multiprocess" = pipe mesh,
@@ -153,29 +152,137 @@ def run_reference(spec: ProgramSpec, num_shards: int,
     return merge_reports(reports, backend="inprocess")
 
 
-def _worker_main(fabric: Any, rank: int, spec: ProgramSpec,
-                 batch: int, profile_dir: Optional[str],
-                 conn: Any, backend: str = "multiprocess",
-                 coalesce: int = 1) -> None:
-    """Forked child entrypoint: claim endpoints, replay, report, exit."""
-    transport = None
+#: A rank's work: ``body(transport, rank) -> result``.
+RankBody = Callable[[Any, int], Any]
+
+
+def _run_rank(fabric: Any, rank: int, body: RankBody) -> Any:
+    """Claim ``rank``'s endpoint, run the body on it, release it."""
+    endpoint = fabric.transport(rank)
+    try:
+        return body(endpoint, rank)
+    except BaseException:
+        if isinstance(fabric, fabrics.LoopbackFabric):
+            # In-process queues deliver no EOF: declare the rank dead so
+            # peers polling it raise PeerGone instead of waiting out the
+            # receive deadline.
+            fabric.mark_closed(rank)
+        raise
+    finally:
+        endpoint.close()
+
+
+def _fork_main(fabric: Any, rank: int, body: RankBody, conn: Any) -> None:
+    """Forked rank entrypoint: claim endpoints, run the body, report, exit."""
     try:
         fabric.close_other_ends(rank)
-        transport = fabric.transport(rank)
-        worker = ShardWorker(transport, spec, backend=backend,
-                             batch=batch, profile_dir=profile_dir,
-                             coalesce=coalesce)
-        report = worker.run()
-        conn.send(("ok", report.to_payload()))
+        conn.send(("ok", _run_rank(fabric, rank, body)))
     except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
         except (BrokenPipeError, OSError):
             pass
     finally:
-        if transport is not None:
-            transport.close()
         conn.close()
+
+
+class _ThreadRank:
+    """A rank on a daemon thread that reports like a forked rank, so
+    :func:`supervise_gang` collects threads and forks alike (``join`` and
+    ``is_alive`` track the report, not the thread's teardown)."""
+
+    def __init__(self, fabric: Any, rank: int, body: RankBody, name: str):
+        self.pid = os.getpid()
+        self.name = name
+        self._message: Optional[tuple] = None
+        self._done = threading.Event()
+        threading.Thread(target=self._main, args=(fabric, rank, body),
+                         name=name, daemon=True).start()
+
+    def _main(self, fabric: Any, rank: int, body: RankBody) -> None:
+        try:
+            self._message = ("ok", _run_rank(fabric, rank, body))
+        except BaseException as exc:  # noqa: BLE001 - reported like a fork
+            self._message = ("error", f"{type(exc).__name__}: {exc}")
+        finally:
+            self._done.set()
+
+    def poll(self, timeout: float) -> bool:
+        return self._done.wait(timeout)
+
+    def recv(self) -> tuple:
+        return self._message
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        self._done.wait(timeout)
+
+    def is_alive(self) -> bool:
+        return not self._done.is_set()
+
+
+def launch_gang(backend: str, num_shards: int, body: RankBody, *,
+                timeout_s: float, inline: Optional[int] = None,
+                deadline_s: float = DEFAULT_DEADLINE_S,
+                name: str = "repro-shard",
+                **fabric_kwargs: Any) -> Dict[int, Any]:
+    """Run ``body(transport, rank)`` once per rank; return ``{rank: result}``.
+
+    ``"loopback"`` ranks are threads over a ``LoopbackFabric``; the process
+    backends fork one process per rank over ``fabric_for_backend`` (which
+    gets ``fabric_kwargs``).  Rank ``inline`` runs in the caller once the
+    others have started, and its exception, if any, is re-raised as is
+    after the gang is reaped.  The other ranks share one ``timeout_s``
+    deadline; a thread still running then raises :class:`TimeoutError`,
+    and any other failure raises :class:`RuntimeError` listing them all.
+    """
+    threaded = backend == "loopback"
+    if threaded:
+        fabric = fabrics.LoopbackFabric(num_shards, deadline_s=deadline_s)
+    else:
+        fork = multiprocessing.get_context("fork")
+        fabric = fabrics.fabric_for_backend(backend, num_shards,
+                                            deadline_s=deadline_s,
+                                            **fabric_kwargs)
+    entries: List[tuple] = []
+    results: Dict[int, Any] = {}
+    try:
+        for rank in range(num_shards):
+            if rank == inline:
+                continue
+            if threaded:
+                proc = conn = _ThreadRank(fabric, rank, body,
+                                          f"{name}-{rank}")
+            else:
+                conn, child_conn = fork.Pipe(duplex=False)
+                proc = fork.Process(target=_fork_main,
+                                    args=(fabric, rank, body, child_conn),
+                                    name=f"{name}-{rank}", daemon=True)
+                proc.start()
+                child_conn.close()
+            entries.append((rank, proc, conn))
+        try:
+            # Release the parent's copies of the other ranks' endpoints so
+            # a dead rank's peers observe EOF (-> PeerGone), not a deadline.
+            if inline is not None:
+                if not threaded:
+                    fabric.close_other_ends(inline)
+                results[inline] = _run_rank(fabric, inline, body)
+            elif fabric.parent_must_release:
+                fabric.close_all()
+        finally:
+            reports, failures = supervise_gang(
+                entries, timeout_s, grace_s=0.0 if threaded else 5.0)
+    finally:
+        if not threaded:
+            terminate_gang(entries)
+            fabric.close_all()
+    stuck = [proc.name for _rank, proc, _conn in entries if proc.is_alive()]
+    if stuck:
+        raise TimeoutError(f"{backend} shards did not finish: {stuck}")
+    if failures:
+        raise RuntimeError(f"{backend} run failed: " + "; ".join(failures))
+    results.update(reports)
+    return results
 
 
 class DistRunner:
@@ -203,87 +310,17 @@ class DistRunner:
         self.fabric_kwargs = fabric_kwargs
 
     def run(self) -> MergedReport:
-        if self.backend == "loopback":
-            reports = self._run_loopback()
-        else:
-            reports = self._run_multiprocess()
-        return merge_reports(reports, backend=self.backend)
+        reports = launch_gang(self.backend, self.num_shards, self._replay,
+                              timeout_s=self.join_timeout_s,
+                              deadline_s=self.deadline_s,
+                              **self.fabric_kwargs)
+        return merge_reports([reports[r] for r in sorted(reports)],
+                             backend=self.backend)
 
-    # -- loopback (threads) --------------------------------------------------
-
-    def _run_loopback(self) -> List[ShardReport]:
-        fabric = LoopbackFabric(self.num_shards, deadline_s=self.deadline_s)
-        results: List[Optional[ShardReport]] = [None] * self.num_shards
-        errors: Dict[int, BaseException] = {}
-
-        def main(rank: int) -> None:
-            try:
-                worker = ShardWorker(fabric.transport(rank), self.spec,
-                                     backend="loopback", batch=self.batch,
-                                     profile_dir=self.profile_dir,
-                                     coalesce=self.coalesce)
-                results[rank] = worker.run()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors[rank] = exc
-                fabric.mark_closed(rank)
-
-        threads = [threading.Thread(target=main, args=(r,),
-                                    name=f"shard-{r}", daemon=True)
-                   for r in range(self.num_shards)]
-        for t in threads:
-            t.start()
-        # One shared deadline across all joins: N wedged shards are
-        # declared dead after ~1× join_timeout_s of wall clock, not N×.
-        deadline = time.monotonic() + self.join_timeout_s
-        for t in threads:
-            t.join(max(0.0, deadline - time.monotonic()))
-        if errors:
-            rank = min(errors)
-            raise errors[rank]
-        alive = [t.name for t in threads if t.is_alive()]
-        if alive:
-            raise TimeoutError(f"loopback shards did not finish: {alive}")
-        return [r for r in results if r is not None]
-
-    # -- multiprocess (fork) -------------------------------------------------
-
-    def _run_multiprocess(self) -> List[ShardReport]:
-        # Fork keeps the (already imported) code and the spec without any
-        # pickling of closures; the worker protocol itself needs only the
-        # inherited fabric endpoints.
-        ctx = multiprocessing.get_context("fork")
-        fabric = fabric_for_backend(self.backend, self.num_shards,
-                                    deadline_s=self.deadline_s,
-                                    **self.fabric_kwargs)
-        entries: List[tuple] = []
-        try:
-            for rank in range(self.num_shards):
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(fabric, rank, self.spec, self.batch,
-                          self.profile_dir, child_conn, self.backend,
-                          self.coalesce),
-                    name=f"repro-shard-{rank}", daemon=True)
-                proc.start()
-                child_conn.close()
-                entries.append((rank, proc, parent_conn))
-            # Fd-based fabrics: the parent holds copies of every mesh
-            # endpoint; release them so a dead worker's peers observe EOF
-            # instead of a timeout.  (Shm rings have no fd to release —
-            # crash detection there is pid liveness via the status board.)
-            if fabric.parent_must_release:
-                fabric.close_all()
-            payloads, failures = supervise_gang(entries,
-                                                self.join_timeout_s)
-        finally:
-            terminate_gang(entries)
-            fabric.close_all()
-        if failures:
-            raise RuntimeError(
-                "multiprocess run failed: " + "; ".join(failures))
-        return [ShardReport.from_payload(payloads[r])
-                for r in sorted(payloads)]
+    def _replay(self, transport: Any, rank: int) -> ShardReport:
+        return ShardWorker(transport, self.spec, backend=self.backend,
+                           batch=self.batch, profile_dir=self.profile_dir,
+                           coalesce=self.coalesce).run()
 
 
 class ServiceRunner:

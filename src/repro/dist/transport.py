@@ -67,7 +67,7 @@ from .frames import (MAGIC, Frame, FrameDecoder, FrameError, decode_frame,
 
 __all__ = ["TransportError", "PeerGone", "ReorderWindowExceeded",
            "Transport", "LoopbackFabric", "PipeFabric", "SharedMemFabric",
-           "TCPFabric", "claimed_transport", "transport_from_claim",
+           "TCPFabric", "transport_from_claim",
            "fabric_for_backend", "connect_tcp_mesh", "PROCESS_BACKENDS",
            "DEFAULT_DEADLINE_S", "DEFAULT_RING_BYTES", "DEFAULT_MAX_REORDER"]
 
@@ -1370,14 +1370,3 @@ def transport_from_claim(claim: Dict[str, Any],
                                    zero_copy=claim.get("zero_copy", True))
     raise TransportError(f"unknown rejoin claim kind {kind!r}")
 
-
-def claimed_transport(rank: int, num_shards: int, conns: Dict[int, Any],
-                      deadline_s: float = DEFAULT_DEADLINE_S,
-                      retry: Optional[RetryConfig] = None) -> Transport:
-    """A pipe transport over endpoints claimed from another process.
-
-    Kept for compatibility; :func:`transport_from_claim` is the
-    fabric-generic entry point.
-    """
-    return _PipeTransport(rank, num_shards, dict(conns),
-                          deadline_s=deadline_s, retry=retry)

@@ -25,7 +25,6 @@ paper's scaling numbers.
 from __future__ import annotations
 
 import contextlib
-import itertools
 from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
@@ -103,13 +102,13 @@ class Runtime:
                  injector: Optional[FaultInjector] = None,
                  resilience: Optional[ResilienceConfig] = None,
                  backend: str = "inprocess", check_coalesce: int = 1):
+        from ..dist.runner import BACKENDS
         from ..dist.transport import PROCESS_BACKENDS
-        if backend not in ("inprocess", "loopback") + PROCESS_BACKENDS:
+        if backend not in ("inprocess",) + BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected "
                              f"'inprocess', 'loopback' or one of "
                              f"{PROCESS_BACKENDS}")
         self.backend = backend
-        self._process_backend = backend in PROCESS_BACKENDS
         self.num_shards = num_shards
         self.mapper = mapper or DefaultMapper()
         self.store = RegionStore()
@@ -173,8 +172,8 @@ class Runtime:
         self._deferred_keys: Dict[int, Any] = {}
         self.executed_points: int = 0
         self._result: Any = None
-        # Multiprocess backend: per-replica verification summaries and
-        # profiler snapshots, shipped back over the result pipes.
+        # Gang backends: per-replica verification summaries, plus the
+        # profiler snapshots of forked replicas.
         self.replica_reports: List[Dict[str, Any]] = []
         self.replica_profiles: List[Dict[str, Any]] = []
         self.dist_checks: int = 0
@@ -216,10 +215,8 @@ class Runtime:
                 "and analysis state belong to one replicated execution — "
                 "create a fresh Runtime for another run")
         self._executed = True
-        if self._process_backend:
-            return self._execute_multiprocess(control, args)
-        if self.backend == "loopback":
-            return self._execute_loopback(control, args)
+        if self.backend != "inprocess":
+            return self._execute_gang(control, args)
         if self.resilience is None:
             return self._execute_replicated(control, args)
         while True:
@@ -267,9 +264,13 @@ class Runtime:
 
     def _run_shard(self, shard: int, control: Callable[..., Any],
                    args: Tuple[Any, ...], monitor: Any = None) -> None:
+        """Replay ``control`` as ``shard``, checked by ``monitor`` (a gang
+        replica's own) or else by the runtime's all-shard monitor."""
         prof = self.profiler
         self._current_shard = shard
-        ctx = Context(self, shard, monitor=monitor)
+        ctx = (Context(self, shard, self.monitor.hasher(shard), self.monitor)
+               if monitor is None else
+               Context(self, shard, monitor.hasher, monitor))
         if prof.enabled:
             prof.begin(shard, CAT_CONTROL, EV_CONTROL_REPLAY)
         try:
@@ -286,199 +287,95 @@ class Runtime:
                 self._take_snapshot("driver-complete",
                                     verified=self.monitor._verified)
 
-    # -- loopback backend ----------------------------------------------------
+    # -- replica gang: loopback threads or forked processes --------------------
 
-    def _execute_loopback(self, control: Callable[..., Any],
-                          args: Tuple[Any, ...]) -> Any:
-        """Replicated execution with each replica on its own thread.
+    def _execute_gang(self, control: Callable[..., Any],
+                      args: Tuple[Any, ...]) -> Any:
+        """Replicated execution with a replica per non-driver shard on a
+        thread (``loopback``) or a forked process (process backends).
 
-        Structurally identical to the multiprocess backend — driver first
-        in the calling thread, then one replica per remaining shard, each
-        hash-checking through a
-        :class:`~repro.dist.monitor.DistDeterminismMonitor` over a
-        :class:`~repro.dist.transport.LoopbackFabric` — but without
-        fork/pickling constraints, so it exercises the full distributed
-        checking protocol at in-process speed (the fuzz tier leans on
-        this).  Replicas share the runtime's logs and deferred-deletion
-        manager directly; only their determinism monitors are private.
+        The driver runs first, as on the in-process path (its calls pile up
+        in its hasher; the all-shard monitor never checks alone).  Then
+        :func:`~repro.dist.runner.launch_gang` starts the replicas, which
+        replay against the driver's logs, while the caller joins as the
+        driver rank — so every check runs over the backend's transport.
         """
-        import threading
-        from ..dist.collectives import DistCollectives
-        from ..dist.monitor import DistDeterminismMonitor
-        from ..dist.transport import LoopbackFabric
+        from ..dist import runner
 
         self._run_shard(self.driver_shard, control, args)
-        if self.num_shards == 1:
-            self._drain_deferred()
-            self.pipeline.validate()
-            return self._result
-        driver_hasher = self.monitor.hasher(self.driver_shard)
-        fabric = LoopbackFabric(self.num_shards)
-        payloads: Dict[int, Dict[str, Any]] = {}
-        errors: List[str] = []
-        lock = threading.Lock()
-
-        def replica(shard: int) -> None:
-            transport = fabric.transport(shard)
-            try:
-                monitor = DistDeterminismMonitor(
-                    DistCollectives(transport, profiler=self.profiler),
-                    batch=self._check_batch, enabled=self._safe_checks,
-                    profiler=self.profiler, injector=self.injector)
-                self._run_shard(shard, control, args,
-                                monitor=_ReplicaMonitor(monitor))
-                monitor.flush()
-                payload = {
-                    "shard": shard,
-                    "calls": len(monitor.hasher.calls),
-                    "checks": monitor.checks_performed,
-                    "stream_digest": monitor.stream_digest(),
-                    "frames_sent": transport.frames_sent,
-                    "frames_received": transport.frames_received,
-                }
-                with lock:
-                    payloads[shard] = payload
-            except ControlDeterminismViolation:
-                # The driver rank observes the same divergence in its
-                # collective and raises the authoritative diagnosis.
-                with lock:
-                    errors.append(f"shard {shard} diverged")
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                with lock:
-                    errors.append(f"shard {shard}: "
-                                  f"{type(exc).__name__}: {exc}")
-            finally:
-                transport.close()
-
-        threads = [
-            threading.Thread(target=replica, args=(s,),
-                             name=f"repro-loopback-{s}", daemon=True)
-            for s in range(self.num_shards) if s != self.driver_shard]
-        for t in threads:
-            t.start()
-        violation: Optional[ControlDeterminismViolation] = None
-        try:
-            self._drive_dist_check(fabric, driver_hasher)
-        except ControlDeterminismViolation as exc:
-            violation = exc
-        for t in threads:
-            t.join(timeout=120.0)
-        if violation is not None:
-            raise violation
-        if errors:
-            raise RuntimeError(
-                "loopback replicas failed: " + "; ".join(sorted(errors)))
-        for shard in sorted(payloads):
-            self.replica_reports.append(payloads[shard])
-        self._drain_deferred()
-        self.pipeline.validate()
-        return self._result
-
-    # -- multiprocess backend ------------------------------------------------
-
-    def _execute_multiprocess(self, control: Callable[..., Any],
-                              args: Tuple[Any, ...]) -> Any:
-        """Replicated execution with each replica in its own OS process.
-
-        Phase 1 runs the driver shard in the parent exactly as the
-        in-process backend does — effects, analysis, and the resource/
-        future logs all live here, and the driver's API calls accumulate
-        in its hasher (the in-process monitor never fires a check while
-        the other hashers are empty).  Phase 2 forks one replica process
-        per remaining shard; each replays the control program against the
-        inherited logs with its determinism monitor swapped for a
-        :class:`~repro.dist.monitor.DistDeterminismMonitor`, while the
-        parent participates as the driver rank by feeding its pre-recorded
-        digest stream through the same windowed all-reduce — so hash
-        checking, divergence localization, and the final count comparison
-        all run over real IPC.
-        """
-        import multiprocessing
-        from ..dist.runner import supervise_gang, terminate_gang
-        from ..dist.transport import fabric_for_backend
-
-        self._run_shard(self.driver_shard, control, args)
-        if self.num_shards == 1:
-            self._drain_deferred()
-            self.pipeline.validate()
-            return self._result
-        driver_hasher = self.monitor.hasher(self.driver_shard)
-        ctx = multiprocessing.get_context("fork")
-        fabric = fabric_for_backend(self.backend, self.num_shards)
-        entries: List[Tuple[int, Any, Any]] = []
-        try:
-            for shard in range(self.num_shards):
+        if self.num_shards > 1:
+            def rank_body(transport: Any, shard: int) -> Any:
                 if shard == self.driver_shard:
-                    continue
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_replica_main,
-                    args=(self, fabric, shard, control, args, child_conn),
-                    name=f"repro-replica-{shard}", daemon=True)
-                proc.start()
-                child_conn.close()
-                entries.append((shard, proc, parent_conn))
-            fabric.close_other_ends(self.driver_shard)
-            violation: Optional[ControlDeterminismViolation] = None
-            try:
-                self._drive_dist_check(fabric, driver_hasher)
-            except ControlDeterminismViolation as exc:
-                # Every rank observes the divergence in the same collective
-                # (the replicas raise too); keep the parent's diagnosis and
-                # re-raise it once the gang is reaped.
-                violation = exc
-            payloads, failures = supervise_gang(entries, timeout_s=120.0)
-        finally:
-            terminate_gang(entries)
-            fabric.close_all()
-        if violation is not None:
-            raise violation
-        if failures:
-            raise RuntimeError(
-                "multiprocess replicas failed: " + "; ".join(failures))
-        for shard in sorted(payloads):
-            payload = payloads[shard]
-            profile = payload.pop("profile", None)
-            if profile is not None:
-                self.replica_profiles.append(profile)
-            self.replica_reports.append(payload)
-        # Replica call streams verified identical ⇒ every deferred
-        # deletion the driver announced was announced by all replicas (in
-        # their forked copies); endorse on their behalf and drain.
-        for key in self.deferred.pending_keys():
-            for shard in range(self.num_shards):
-                if shard != self.driver_shard:
+                    return self._check_driver_stream(transport)
+                return self._replay_replica(transport, shard, control, args)
+
+            # Every rank raises the same divergence in the same collective;
+            # the driver's (inline) diagnosis is the one that propagates.
+            reports = runner.launch_gang(
+                self.backend, self.num_shards, rank_body,
+                inline=self.driver_shard, timeout_s=120.0,
+                name="repro-replica")
+            self.dist_checks = reports.pop(self.driver_shard)
+            for shard in sorted(reports):
+                payload = reports[shard]
+                profile = payload.pop("profile", None)
+                if profile is not None:
+                    self.replica_profiles.append(profile)
+                self.replica_reports.append(payload)
+            # Replica call streams verified identical ⇒ every deferred
+            # deletion the driver announced was announced by every replica
+            # too; endorse on their behalf (announce is idempotent).
+            for key in self.deferred.pending_keys():
+                for shard in reports:
                     self.deferred.announce(shard, key)
         self._drain_deferred()
         self.pipeline.validate()
         return self._result
 
-    def _drive_dist_check(self, fabric: Any, driver_hasher: Any) -> None:
-        """Parent-side determinism participation, from the recorded stream.
-
-        Feeds the driver's already-computed call digests through a
-        distributed monitor at the same window cadence the replicas use
-        (record → maybe-check per call, one final flush), so all ranks
-        execute the identical collective schedule.
-        """
+    def _dist_monitor(self, transport: Any) -> Any:
+        """One rank's determinism monitor over ``transport``."""
         from ..dist.collectives import DistCollectives
         from ..dist.monitor import DistDeterminismMonitor
+        return DistDeterminismMonitor(
+            DistCollectives(transport, profiler=self.profiler),
+            batch=self._check_batch, enabled=self._safe_checks,
+            profiler=self.profiler, injector=self.injector,
+            coalesce=self._check_coalesce)
 
-        transport = fabric.transport(self.driver_shard)
-        try:
-            monitor = DistDeterminismMonitor(
-                DistCollectives(transport, profiler=self.profiler),
-                batch=self._check_batch, enabled=self._safe_checks,
-                profiler=self.profiler, coalesce=self._check_coalesce)
-            for digest, descr in zip(driver_hasher.calls,
-                                     driver_hasher.descriptions):
-                monitor.hasher.calls.append(digest)
-                monitor.hasher.descriptions.append(descr)
-                monitor.maybe_check()
-            monitor.flush()
-            self.dist_checks = monitor.checks_performed
-        finally:
-            transport.close()
+    def _check_driver_stream(self, transport: Any) -> int:
+        """The driver rank: feed its recorded call digests through a
+        distributed monitor at the replicas' cadence (maybe-check per call,
+        one final flush), so every rank runs the identical collectives."""
+        monitor = self._dist_monitor(transport)
+        recorded = self.monitor.hasher(self.driver_shard)
+        for digest, descr in zip(recorded.calls, recorded.descriptions):
+            monitor.hasher.calls.append(digest)
+            monitor.hasher.descriptions.append(descr)
+            monitor.maybe_check()
+        monitor.flush()
+        return monitor.checks_performed
+
+    def _replay_replica(self, transport: Any, shard: int,
+                        control: Callable[..., Any],
+                        args: Tuple[Any, ...]) -> Dict[str, Any]:
+        """One replica rank: replay against the driver's logs, checking
+        every call window over ``transport``; returns its summary."""
+        monitor = self._dist_monitor(transport)
+        self._run_shard(shard, control, args, monitor)
+        monitor.flush()
+        payload: Dict[str, Any] = {
+            "shard": shard,
+            "calls": len(monitor.hasher.calls),
+            "checks": monitor.checks_performed,
+            "stream_digest": monitor.stream_digest(),
+            "frames_sent": transport.frames_sent,
+            "frames_received": transport.frames_received,
+        }
+        if self.profiler.enabled and self.backend != "loopback":
+            # A forked replica profiles into its own copy of the profiler;
+            # loopback threads record straight into the driver's.
+            payload["profile"] = self.profiler.snapshot()
+        return payload
 
     # -- recovery ------------------------------------------------------------
 
@@ -758,79 +655,6 @@ class Runtime:
         return self.pipeline.coarse_result
 
 
-class _ReplicaMonitor:
-    """Duck-typed :class:`DeterminismMonitor` stand-in inside a replica.
-
-    A forked replica owns exactly one shard, so the runtime's global
-    monitor is swapped for this adapter around a
-    :class:`~repro.dist.monitor.DistDeterminismMonitor`: ``hasher()``
-    hands the :class:`Context` the replica's own hasher, and each
-    ``maybe_check`` runs the windowed all-reduce over the pipe mesh.
-    """
-
-    def __init__(self, dist_monitor: Any):
-        self._monitor = dist_monitor
-
-    def hasher(self, shard: int) -> Any:
-        if shard != self._monitor.rank:
-            raise ValueError(
-                f"replica process for shard {self._monitor.rank} asked for "
-                f"shard {shard}'s hasher")
-        return self._monitor.hasher
-
-    def maybe_check(self) -> None:
-        self._monitor.maybe_check()
-
-    def flush(self) -> None:
-        self._monitor.flush()
-
-
-def _replica_main(runtime: Runtime, fabric: Any, shard: int,
-                  control: Callable[..., Any], args: Tuple[Any, ...],
-                  conn: Any) -> None:
-    """Forked replica entrypoint: replay one shard over the pipe mesh.
-
-    The fork carries the driver's resource/future logs, so the replay
-    resolves every handle and future exactly as the in-process replicas
-    do; only the determinism checking changes transport.
-    """
-    from ..dist.collectives import DistCollectives
-    from ..dist.monitor import DistDeterminismMonitor
-
-    transport = None
-    try:
-        fabric.close_other_ends(shard)
-        transport = fabric.transport(shard)
-        monitor = DistDeterminismMonitor(
-            DistCollectives(transport, profiler=runtime.profiler),
-            batch=runtime._check_batch, enabled=runtime._safe_checks,
-            profiler=runtime.profiler, injector=runtime.injector,
-            coalesce=runtime._check_coalesce)
-        runtime.monitor = _ReplicaMonitor(monitor)
-        runtime._run_shard(shard, control, args)
-        monitor.flush()
-        payload: Dict[str, Any] = {
-            "shard": shard,
-            "calls": len(monitor.hasher.calls),
-            "checks": monitor.checks_performed,
-            "stream_digest": monitor.stream_digest(),
-            "frames_sent": transport.frames_sent,
-            "frames_received": transport.frames_received,
-        }
-        if runtime.profiler.enabled:
-            payload["profile"] = runtime.profiler.snapshot()
-        conn.send(("ok", payload))
-    except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        if transport is not None:
-            transport.close()
-        conn.close()
-
-
 class Context:
     """Per-shard view of the runtime: the API control programs call.
 
@@ -838,15 +662,13 @@ class Context:
     performs effects; other shards replay against the logs.
     """
 
-    def __init__(self, runtime: Runtime, shard: int, monitor: Any = None):
+    def __init__(self, runtime: Runtime, shard: int, hasher: Any,
+                 monitor: Any):
         self.runtime = runtime
         self.shard = shard
         self.num_shards = runtime.num_shards
-        # Loopback replicas pass a private per-thread monitor; everything
-        # else (including forked replicas, which reassign runtime.monitor
-        # in their own process) uses the runtime's.
-        self._monitor = monitor if monitor is not None else runtime.monitor
-        self._hasher = self._monitor.hasher(shard)
+        self._hasher = hasher
+        self._monitor = monitor
         self._res_cursor = 0
         self._fut_cursor = 0
         self._in_finalizer = False

@@ -2,9 +2,10 @@
 
 Regression tests for two overshoot bugs: ``supervise_gang`` used to join
 each worker with ``remaining + 5.0`` *sequentially* (up to +5s per worker
-past the deadline) and ``_run_loopback`` joined each thread with the full
-``join_timeout_s`` (N x total wall clock for N wedged shards).  Both paths
-now share one monotonic deadline across all joins.
+past the deadline) and the loopback runner joined each thread with the
+full ``join_timeout_s`` (N x total wall clock for N wedged shards).  The
+gang launcher now shares one monotonic deadline across all joins, for
+threads and forks alike.
 """
 
 import multiprocessing

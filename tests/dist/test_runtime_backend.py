@@ -1,4 +1,8 @@
-"""Runtime(backend=...) and DCRModel(backend=...): multiprocess wiring."""
+"""Runtime(backend=...) and DCRModel(backend=...): multiprocess wiring.
+
+The checks every gang backend shares live in
+``tests/runtime/test_gang_backends.py``.
+"""
 
 import json
 import multiprocessing
@@ -6,9 +10,7 @@ import os
 
 import pytest
 
-from repro.core.determinism import ControlDeterminismViolation
 from repro.models import DCRModel
-from repro.resilience import RecoveryPolicy, ResilienceConfig
 from repro.runtime import Runtime
 from repro.sim import MachineSpec
 
@@ -30,30 +32,6 @@ def stencil_control(ctx):
     return fm.reduce(lambda a, b: a + b)
 
 
-def divergent_control(ctx):
-    fs = ctx.create_field_space([("x", "f8")])
-    r = ctx.create_region(ctx.create_index_space(8), fs, "r")
-    # Shard-dependent control flow: the canonical determinism violation.
-    ctx.fill(r, "x", float(ctx.shard))
-    return None
-
-
-@pytest.mark.parametrize("num_shards", [2, 3])
-def test_multiprocess_result_parity(num_shards):
-    ref = Runtime(num_shards=num_shards).execute(stencil_control)
-    rt = Runtime(num_shards=num_shards, backend="multiprocess",
-                 check_batch=4)
-    got = rt.execute(stencil_control)
-    assert got == ref
-    # Every replica ran in its own process and verified the driver's
-    # call stream over the pipe transport.
-    assert len(rt.replica_reports) == num_shards - 1
-    digests = {rep["stream_digest"] for rep in rt.replica_reports}
-    assert len(digests) == 1
-    assert all(rep["frames_sent"] > 0 for rep in rt.replica_reports)
-    assert rt.dist_checks > 0
-
-
 def test_multiprocess_replicas_are_separate_processes():
     rt = Runtime(num_shards=3, backend="multiprocess")
     rt.execute(stencil_control)
@@ -63,28 +41,6 @@ def test_multiprocess_replicas_are_separate_processes():
     assert os.getpid() not in pids
     assert not [p for p in multiprocessing.active_children()
                 if p.name.startswith("repro-replica-")]
-
-
-def test_multiprocess_single_shard_short_circuits():
-    rt = Runtime(num_shards=1, backend="multiprocess")
-    assert rt.execute(stencil_control) == \
-        Runtime(num_shards=1).execute(stencil_control)
-    assert rt.replica_reports == []
-
-
-def test_multiprocess_divergence_raises():
-    rt = Runtime(num_shards=3, backend="multiprocess", check_batch=2)
-    with pytest.raises(ControlDeterminismViolation) as exc:
-        rt.execute(divergent_control)
-    assert "diverg" in str(exc.value).lower()
-    assert not [p for p in multiprocessing.active_children()
-                if p.name.startswith("repro-replica-")]
-
-
-def test_multiprocess_rejects_resilience():
-    with pytest.raises(ValueError, match="does not support recovery"):
-        Runtime(num_shards=2, backend="multiprocess",
-                resilience=ResilienceConfig(policy=RecoveryPolicy.DEGRADE))
 
 
 def test_unknown_backend_rejected():
