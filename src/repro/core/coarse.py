@@ -56,6 +56,7 @@ implementations in tests/helpers.py).
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -97,17 +98,21 @@ _CLASS_IDS: Dict[Tuple[Privilege, int], int] = {}
 _CLASS_REPS: List[Tuple[Privilege, LogicalRegion]] = []
 _DECISIONS: Dict[Tuple[int, int], bool] = {}
 _CONTAINS: Dict[Tuple[int, int], bool] = {}
+# Serializes interning misses and resets (shards on loopback threads share
+# these tables; see repro.core.fine).  Hits stay lock-free.
+_TABLE_LOCK = threading.RLock()
 
 
 def clear_coarse_decision_caches() -> None:
     """Reset the interned class/decision tables (tests and benchmarks;
     never required for correctness)."""
     global _GEN
-    _CLASS_IDS.clear()
-    del _CLASS_REPS[:]
-    _DECISIONS.clear()
-    _CONTAINS.clear()
-    _GEN += 1
+    with _TABLE_LOCK:
+        _CLASS_IDS.clear()
+        del _CLASS_REPS[:]
+        _DECISIONS.clear()
+        _CONTAINS.clear()
+        _GEN += 1
 
 
 def coarse_decision_stats() -> Dict[str, int]:
@@ -125,11 +130,14 @@ def _intern_class(privilege: Privilege, bound: LogicalRegion) -> int:
     key = (privilege, bound.uid)
     cid = _CLASS_IDS.get(key)
     if cid is None:
-        if len(_CLASS_REPS) >= _MAX_CLASSES:
-            clear_coarse_decision_caches()
-        cid = len(_CLASS_REPS)
-        _CLASS_IDS[key] = cid
-        _CLASS_REPS.append((privilege, bound))
+        with _TABLE_LOCK:
+            cid = _CLASS_IDS.get(key)
+            if cid is None:
+                if len(_CLASS_REPS) >= _MAX_CLASSES:
+                    clear_coarse_decision_caches()
+                cid = len(_CLASS_REPS)
+                _CLASS_REPS.append((privilege, bound))
+                _CLASS_IDS[key] = cid
     return cid
 
 
@@ -232,11 +240,14 @@ class FenceStore:
       in benchmarks/bench_headline.py guards exactly this).
 
     Soundness of the index: a fence is immutable and its position never
-    changes, so insertion-time channel registration is final.
+    changes, so insertion-time channel registration is final.  Fences
+    only ever add coverage; the one way to lose it is :meth:`clear`,
+    which bumps :attr:`version` so coverage proofs taken earlier (the
+    fine stage's scan-time proofs) are known to be stale.
     """
 
     __slots__ = ("_fences", "_set", "_spine", "_keys", "_nodes",
-                 "_global", "_scoped", "_alias_memo", "_tick")
+                 "_global", "_scoped", "_alias_memo", "_tick", "_version")
 
     def __init__(self, fences: Sequence[Fence] = ()) -> None:
         self._fences: List[Fence] = []
@@ -248,6 +259,7 @@ class FenceStore:
         self._scoped: Dict[int, Dict[int, _Channel]] = {}  # tree -> uid -> ch
         self._alias_memo: Dict[Tuple[int, int], bool] = {}
         self._tick = 0
+        self._version = 0
         for f in fences:
             self.add(f)
 
@@ -312,8 +324,14 @@ class FenceStore:
         self._global = SeqStamps()
         self._scoped.clear()
         self._alias_memo.clear()
+        self._version += 1
 
     # -- queries ------------------------------------------------------------------
+
+    @property
+    def version(self) -> int:
+        """Bumped by every :meth:`clear` (the only removal of coverage)."""
+        return self._version
 
     def covers(self, earlier_seq: int, later_seq: int,
                region: LogicalRegion, fields: frozenset) -> bool:
@@ -348,6 +366,40 @@ class FenceStore:
                 if ss is not None and ss.covers(earlier_seq, later_seq):
                     return True
         return False
+
+    def latest_reaching(self, later_seq: int, region: LogicalRegion,
+                        fids: Sequence[int]) -> int:
+        """The latest fence position at or before ``later_seq`` whose
+        scope orders ``region``/``fids`` (-1 when none does).
+
+        Reaches the same channels as :meth:`covers`, so for every
+        ``earlier_seq``: ``covers(earlier_seq, later_seq, region, fields)``
+        iff ``latest_reaching(later_seq, region, fids) > earlier_seq``
+        (with ``fids`` the field ids of ``fields``).  One call settles
+        coverage for a whole set of earlier operations.
+        """
+        best = self._global.latest_at(later_seq)
+        chans = self._scoped.get(region.tree_id)
+        if not chans:
+            return best
+        memo = self._alias_memo
+        ruid = region.uid
+        for chan in chans.values():
+            mkey = (chan.uid, ruid)
+            hit = memo.get(mkey)
+            if hit is None:
+                hit = cached_may_alias(chan.region, region)
+                memo[mkey] = hit
+            if not hit:
+                continue
+            by_fid = chan.by_fid
+            for fid in fids:
+                ss = by_fid.get(fid)
+                if ss is not None:
+                    pos = ss.latest_at(later_seq)
+                    if pos > best:
+                        best = pos
+        return best
 
     def era_node(self) -> Optional[OMNode]:
         """The spine node of the latest fence position — the *coarse*

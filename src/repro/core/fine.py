@@ -11,7 +11,10 @@ This module computes that precise point graph with per-shard cost
 attribution, classifies edges as shard-local vs. cross-shard, and provides
 the soundness check used by the test-suite: every cross-shard point
 dependence must be covered by a fence the coarse stage inserted (otherwise
-an elision was wrong).
+an elision was wrong).  Given the coarse stage's fence store, the scan
+proves that coverage as it finds each edge (one fence-store lookup per
+matched bucket, one integer compare per entry), and the check re-derives
+only the edges left unproven.
 
 Scaling note (DePa, Westrick et al., PPoPP '22): the point epochs are
 bucketed by **interned requirement class** — each distinct (privilege,
@@ -30,14 +33,16 @@ differential tests against tests/helpers.py).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
+                    Optional, Set, Tuple)
 
 from ..obs.profiler import Profiler, get_profiler
 from ..oracle import RegionRequirement, requirements_conflict
 from ..regions import (LogicalRegion, cached_region_contains,
                        register_cache_clearer)
-from .coarse import CoarseResult, clear_coarse_decision_caches
+from .coarse import CoarseResult, FenceStore, clear_coarse_decision_caches
 from .om import OMNode
 from .operation import Operation, PointTask
 from .taskgraph import TaskGraph
@@ -80,15 +85,20 @@ _CLASS_IDS: Dict[Tuple, int] = {}
 _CLASS_REPS: List[RegionRequirement] = []
 _DECISIONS: Dict[int, bool] = {}   # packed int keys: cheapest possible probe
 _CONTAINS: Dict[Tuple[int, int], bool] = {}
+# Serializes interning misses and resets: shards on loopback threads share
+# these tables, and an unlocked miss is a check-then-append race that can
+# hand two classes one id.  Hits stay lock-free.
+_TABLE_LOCK = threading.RLock()
 
 
 def _clear_fine_decision_caches() -> None:
     global _GEN
-    _CLASS_IDS.clear()
-    del _CLASS_REPS[:]
-    _DECISIONS.clear()
-    _CONTAINS.clear()
-    _GEN += 1
+    with _TABLE_LOCK:
+        _CLASS_IDS.clear()
+        del _CLASS_REPS[:]
+        _DECISIONS.clear()
+        _CONTAINS.clear()
+        _GEN += 1
 
 
 def clear_analysis_caches() -> None:
@@ -113,11 +123,16 @@ def _intern_class(req: RegionRequirement) -> int:
     key = (req.privilege, req.region.uid, req.field_ids())
     cid = _CLASS_IDS.get(key)
     if cid is None:
-        if len(_CLASS_REPS) >= _MAX_CLASSES:
-            _clear_fine_decision_caches()
-        cid = len(_CLASS_REPS)
-        _CLASS_IDS[key] = cid
-        _CLASS_REPS.append(req)
+        with _TABLE_LOCK:
+            cid = _CLASS_IDS.get(key)
+            if cid is None:
+                if len(_CLASS_REPS) >= _MAX_CLASSES:
+                    _clear_fine_decision_caches()
+                cid = len(_CLASS_REPS)
+                # Representative first: a lock-free reader that finds the
+                # id must find its representative too.
+                _CLASS_REPS.append(req)
+                _CLASS_IDS[key] = cid
     return cid
 
 
@@ -146,7 +161,8 @@ def interned_requirements_conflict(a: RegionRequirement,
                                    b: RegionRequirement) -> bool:
     """``requirements_conflict`` through the flat decision table: one
     int-pair dict probe once both classes are warm (the fence-coverage
-    validation asks this for every requirement pair of every cross edge)."""
+    check asks this for the requirement pairs of every cross edge the scan
+    could not prove covered)."""
     ca = _class_of(a)
     cb = _class_of(b)
     tag = getattr(a, "_om_cid", None)
@@ -181,17 +197,25 @@ def _sorted_fids(req: RegionRequirement) -> Tuple[int, ...]:
 
 
 class _PointBucket:
-    """All point-epoch entries sharing one requirement class."""
+    """All point-epoch entries sharing one requirement class.
 
-    __slots__ = ("cid", "rep", "is_reduce", "entries", "tasks", "stamps")
+    ``shard`` is the entries' common shard (-1 once entries of two shards
+    were added): a bucket of the scanning task's own shard yields no
+    cross-shard edge, so the scan-time fence proof skips it.
+    """
 
-    def __init__(self, cid: int, rep: RegionRequirement) -> None:
+    __slots__ = ("cid", "rep", "is_reduce", "entries", "tasks", "stamps",
+                 "shard")
+
+    def __init__(self, cid: int, rep: RegionRequirement,
+                 shard: int) -> None:
         self.cid = cid
         self.rep = rep
         self.is_reduce = rep.privilege.is_reduce
         self.entries: List[Tuple[PointTask, RegionRequirement]] = []
         self.tasks: List[PointTask] = []     # parallel: emitted on match
         self.stamps: List[Tuple[Optional[OMNode], int]] = []  # parallel
+        self.shard = shard
 
 
 def _null_clock() -> Optional[OMNode]:
@@ -241,8 +265,10 @@ class _PointEpoch:
             self._refresh()
         b = self._buckets.get(cid)
         if b is None:
-            b = _PointBucket(cid, req)
+            b = _PointBucket(cid, req, task.shard)
             self._buckets[cid] = b
+        elif b.shard != task.shard:
+            b.shard = -1
         b.entries.append(entry)
         b.tasks.append(task)
         b.stamps.append((self._clock(), self._next))
@@ -255,17 +281,24 @@ class _PointEpoch:
 
     def match(self, task: PointTask, req: RegionRequirement,
               reduce_only: bool = False
-              ) -> Tuple[int, List[PointTask]]:
-        """(entries scanned, conflicting prior tasks) — the same counts and
-        task set the naive per-entry loop reports for this epoch."""
+              ) -> Tuple[int, List[PointTask], Optional[List[_PointBucket]]]:
+        """(entries scanned, conflicting prior tasks, cross buckets) — the
+        counts and task set are the ones the naive per-entry loop reports
+        for this epoch.  The cross buckets are the matched buckets holding
+        an entry of another shard than ``task``'s (the only ones that can
+        yield a cross-shard edge); None from the same-op slow path, whose
+        matches carry no bucket."""
         if reduce_only and not self._reduce_size:
-            return 0, []          # no reduce entries: nothing scanned either way
+            return 0, [], []      # no reduce entries: nothing scanned either way
         if id(task.op) in self._op_counts:
-            return self._match_with_self(task, req, reduce_only)
+            scanned, matched = self._match_with_self(task, req, reduce_only)
+            return scanned, matched, None
         qcid = _class_of(req)
         if self._gen != _GEN:
             self._refresh()
         matched: List[PointTask] = []
+        cross: List[_PointBucket] = []
+        shard = task.shard
         decisions = _DECISIONS
         if reduce_only:
             scanned = 0
@@ -278,6 +311,8 @@ class _PointEpoch:
                     hit = _decide(b.cid, qcid)
                 if hit:
                     matched.extend(b.tasks)
+                    if b.shard != shard:
+                        cross.append(b)
         else:
             # Every entry is visited, so the scan count is the epoch size.
             scanned = self._size
@@ -287,7 +322,9 @@ class _PointEpoch:
                     hit = _decide(b.cid, qcid)
                 if hit:
                     matched.extend(b.tasks)
-        return scanned, matched
+                    if b.shard != shard:
+                        cross.append(b)
+        return scanned, matched, cross
 
     def _match_with_self(self, task, req, reduce_only):
         """Slow path preserving the naive same-op skip semantics (points of
@@ -412,22 +449,36 @@ class FineAnalysis:
     (local/cross) feeds both the simulator's cost model and the fence
     soundness check.
 
-    ``clock`` supplies the coarse component of new epoch-entry timestamps
-    (the pipeline wires the coarse stage's fence-spine era node; standalone
-    use stamps a null coarse component).
+    ``fences`` is the coarse stage's fence store, when the caller runs the
+    coarse stage ahead of this one (the pipeline does).  Its era node is
+    the coarse component of new epoch-entry timestamps, and the scan
+    proves fence coverage of each cross-shard edge as it finds it, so
+    :meth:`uncovered_cross_edges` re-checks only the edges it could not
+    prove.  Standalone use stamps a null coarse component and checks
+    every cross edge in full.
     """
 
     def __init__(self, num_shards: int,
                  profiler: Optional[Profiler] = None,
-                 clock: Optional[Callable[[], Optional[OMNode]]] = None):
+                 fences: Optional[FenceStore] = None):
         self.num_shards = num_shards
         self.profiler = profiler if profiler is not None else get_profiler()
         self.result = FineResult()
-        self._clock = clock if clock is not None else _null_clock
+        self._clock = fences.era_node if fences is not None else _null_clock
         self._state: Dict[Tuple[int, int], _FieldState] = {}
         # Precise in-edges added while analyzing the most recent op, so the
         # pipeline can hand them to the trace recorder without rescanning.
         self.last_op_edges: List[Tuple[PointTask, PointTask]] = []
+        # Scan-time coverage proofs: which store (and which version of it)
+        # they were taken against, how many cross edges they settled, and
+        # the cross edges left for the full any-pair check.
+        self._fences = fences
+        self._fences_version = fences.version if fences is not None else -1
+        self._proven = 0
+        self._unproven: List[Tuple[PointTask, PointTask]] = []
+        # Cross edges handed to the any-pair check, summed over calls of
+        # uncovered_cross_edges (0 when every edge was proven at scan time).
+        self.fallback_edges = 0
 
     def analyze(self, op: Operation) -> List[PointTask]:
         self.last_op_edges = []
@@ -503,6 +554,8 @@ class FineAnalysis:
         result = self.result
         result.graph.tasks.add(task)
         deps: Set[PointTask] = set()
+        proofs: List[Tuple[_PointBucket, int]] = []
+        slow: List[PointTask] = []
         states = self._state
         for req in task.requirements:
             tree_id = req.region.tree_id
@@ -510,14 +563,17 @@ class FineAnalysis:
                 state = states.get((tree_id, fid))
                 if state is None:
                     continue
-                self._scan(task, req, state, deps)
+                self._scan(task, req, state, deps, proofs, slow)
         if not deps:
             return
+        unproven = (_unproven_deps(task, proofs, slow)
+                    if proofs or slow else None)
         graph_deps = result.graph.deps
         local_add = result.local_edges.add
         cross_add = result.cross_edges.add
         edge_append = self.last_op_edges.append
         tshard = task.shard
+        proven = 0
         for prev in deps:
             edge = (prev, task)
             graph_deps.add(edge)
@@ -526,9 +582,23 @@ class FineAnalysis:
                 local_add(edge)
             else:
                 cross_add(edge)
+                if unproven and prev in unproven:
+                    self._unproven.append(edge)
+                else:
+                    proven += 1
+        self._proven += proven
 
     def _scan(self, task: PointTask, req: RegionRequirement,
-              state: _FieldState, deps: Set[PointTask]) -> None:
+              state: _FieldState, deps: Set[PointTask],
+              proofs: List[Tuple[_PointBucket, int]],
+              slow: List[PointTask]) -> None:
+        """Collect ``req``'s conflicting prior tasks into ``deps``; when
+        proving, also record one ``(bucket, thr)`` proof per matched cross
+        bucket, with ``thr`` the latest fence position at or before this op
+        that orders the pair's data.  An entry's edge is then covered iff
+        its op seq is below ``thr`` — exactly the ``covers`` test the
+        any-pair check makes for this requirement pair.  Slow-path matches
+        get no proof."""
         priv = req.privilege
         if priv.writes or priv.is_reduce:
             probes = ((state.read_epoch, False), (state.write_epoch, False))
@@ -539,11 +609,24 @@ class FineAnalysis:
         for epoch, reduce_only in probes:
             if not epoch._size:
                 continue
-            scanned, matched = epoch.match(task, req, reduce_only=reduce_only)
+            scanned, matched, cross = epoch.match(task, req,
+                                                  reduce_only=reduce_only)
             if scanned:
                 scans[shard] = scans.get(shard, 0) + scanned
-            if matched:
-                deps.update(matched)
+            if not matched:
+                continue
+            deps.update(matched)
+            fences = self._fences
+            if fences is None:
+                continue
+            if cross is None:
+                slow.extend(matched)
+                continue
+            for b in cross:
+                thr = fences.latest_reaching(
+                    task.op.seq, req.region,
+                    _sorted_fids(req) + _sorted_fids(b.rep))
+                proofs.append((b, thr))
 
     def _update_point(self, task: PointTask) -> None:
         clock = self._clock
@@ -564,6 +647,22 @@ class FineAnalysis:
                 else:
                     state.read_epoch.add(task, req, unique=True)
 
+    def add_replayed_edges(
+            self, edges: Iterable[Tuple[PointTask, PointTask]]) -> None:
+        """Join trace-replayed precise edges to the result.  They were not
+        found by a scan, so cross-shard ones carry no coverage proof and
+        :meth:`uncovered_cross_edges` checks them in full."""
+        result = self.result
+        cross = result.cross_edges
+        for edge in edges:
+            prev, nxt = edge
+            result.graph.add_dep(prev, nxt)
+            if prev.shard == nxt.shard:
+                result.local_edges.add(edge)
+            elif edge not in cross:
+                cross.add(edge)
+                self._unproven.append(edge)
+
     # -- soundness of fence elision ------------------------------------------------
 
     def uncovered_cross_edges(
@@ -573,20 +672,59 @@ class FineAnalysis:
 
         Must be empty for a sound analysis: this is the property the coarse
         stage's conservative fence insertion guarantees and its symbolic
-        elision must preserve.  Conflict tests go through the interned
-        decision table and coverage through the fence channels, so each
-        (edge, requirement pair) probe is O(1).
+        elision must preserve.
+
+        An edge is covered when some conflicting requirement pair of its
+        two tasks is ordered by a fence (``covers_cross_edge``).  The scan
+        already proved that for most edges against the store it was given;
+        those proofs stand while ``coarse.fences`` is that same store, its
+        version is unchanged (fences only add coverage; ``clear`` removes
+        it) and every cross edge is accounted for as proven or unproven.
+        Then only the unproven edges are checked here; otherwise every
+        cross edge is.  Either way the verdict is the full check's.
         """
+        cross = self.result.cross_edges
+        store = self._fences
+        proofs_hold = (store is not None and coarse.fences is store
+                       and store.version == self._fences_version
+                       and len(cross) == self._proven + len(self._unproven))
+        edges: Collection[Tuple[PointTask, PointTask]] = (
+            self._unproven if proofs_hold else cross)
+        self.fallback_edges += len(edges)
+        covers = coarse.covers_cross_edge
         bad = []
-        for prev, task in self.result.cross_edges:
-            covered = False
-            for preq in prev.requirements:
-                for nreq in task.requirements:
-                    if interned_requirements_conflict(preq, nreq):
-                        if coarse.covers_cross_edge(
-                                prev.op.seq, task.op.seq, nreq.region,
-                                nreq.fields | preq.fields):
-                            covered = True
-            if not covered:
+        for prev, task in edges:
+            if not _covered_by_any_pair(prev, task, covers):
                 bad.append((prev, task))
         return bad
+
+
+def _unproven_deps(task: PointTask, proofs: List[Tuple[_PointBucket, int]],
+                   slow: List[PointTask]) -> Set[PointTask]:
+    """Cross-shard prior tasks of ``task`` that no proof covers (an edge is
+    proven as soon as any one of its requirement pairs is)."""
+    shard = task.shard
+    cands = {t for t in slow if t.shard != shard}
+    for b, thr in proofs:
+        cands.update(t for t in b.tasks
+                     if t.shard != shard and t.op.seq >= thr)
+    if cands:
+        for b, thr in proofs:
+            cands.difference_update(t for t in b.tasks if t.op.seq < thr)
+    return cands
+
+
+def _covered_by_any_pair(prev: PointTask, task: PointTask,
+                         covers: Callable[..., bool]) -> bool:
+    """Is some conflicting requirement pair of the edge fence-ordered?
+    Conflict tests go through the interned decision table and coverage
+    through the fence channels, so each probe is O(1); the first covering
+    pair settles the edge."""
+    pseq = prev.op.seq
+    tseq = task.op.seq
+    for preq in prev.requirements:
+        for nreq in task.requirements:
+            if interned_requirements_conflict(preq, nreq) and covers(
+                    pseq, tseq, nreq.region, nreq.fields | preq.fields):
+                return True
+    return False

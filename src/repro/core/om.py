@@ -335,6 +335,13 @@ class SeqStamps:
         O(1) rank lookups and one comparison."""
         return self.fine_at(later_seq) > self.fine_at(earlier_seq)
 
+    def latest_at(self, seq: int) -> int:
+        """The latest channel position at or before ``seq`` (-1 if none):
+        ``covers(e, seq)`` holds exactly when this exceeds ``e``, so one
+        lookup answers coverage for every earlier position at once."""
+        fine = self.fine_at(seq)
+        return self._positions[fine - 1] if fine else -1
+
     def _extend(self, seq: int) -> None:
         pos = self._positions
         ranks = self._ranks

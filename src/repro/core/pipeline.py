@@ -175,9 +175,11 @@ class DCRPipeline:
         self.coarse = CoarseAnalysis(num_shards, profiler=self.profiler)
         # The fine stage stamps its epoch entries with the coarse stage's
         # fence-spine era node — the shared clock that gives both stages'
-        # timestamps a common coarse component (see repro.core.om).
+        # timestamps a common coarse component (see repro.core.om) — and
+        # proves fence coverage against the same store as it scans, which
+        # leaves validate() only the unproven edges.
         self.fine = FineAnalysis(num_shards, profiler=self.profiler,
-                                 clock=self.coarse.result.fences.era_node)
+                                 fences=self.coarse.result.fences)
         self.records: List[OpRecord] = []
         self.stats = PipelineStats()
         self._traces = TraceCache(profiler=self.profiler, injector=injector)
@@ -336,12 +338,7 @@ class DCRPipeline:
         for t in record.point_tasks:
             self.fine.result.points_per_shard[t.shard] = \
                 self.fine.result.points_per_shard.get(t.shard, 0) + 1
-        for prev, nxt in self._traces.internal_edges_for(record):
-            self.fine.result.graph.add_dep(prev, nxt)
-            if prev.shard == nxt.shard:
-                self.fine.result.local_edges.add((prev, nxt))
-            else:
-                self.fine.result.cross_edges.add((prev, nxt))
+        self.fine.add_replayed_edges(self._traces.internal_edges_for(record))
 
     def run_program(self, ops: Sequence[Operation]) -> List[OpRecord]:
         return [self.analyze(op) for op in ops]
@@ -386,9 +383,18 @@ class DCRPipeline:
         return self.fine.result
 
     def validate(self) -> None:
-        """Check the fence-soundness invariant; raises on violation."""
+        """Check the fence-soundness invariant; raises on violation, naming
+        the earlier and the later op of the first uncovered edge."""
         bad = self.fine.uncovered_cross_edges(self.coarse.result)
         if bad:
+            prev, task = min(bad, key=lambda e: (
+                e[1].op.seq, e[0].op.seq, repr(e[1].point), repr(e[0].point)))
             raise AssertionError(
                 f"{len(bad)} cross-shard dependences not covered by any "
-                f"fence; first: {bad[0]}")
+                f"fence; first: {_op_label(prev.op)} point {prev.point!r} "
+                f"on shard {prev.shard} -> {_op_label(task.op)} point "
+                f"{task.point!r} on shard {task.shard}")
+
+
+def _op_label(op: Operation) -> str:
+    return f"{op.name or op.kind!r} (seq {op.seq})"

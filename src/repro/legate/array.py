@@ -73,7 +73,7 @@ class LegateContext:
         # the hashed create_* calls would diverge across shards (§3).
         self._next_name = 0
         self._next_part = 0
-        self.fields = FieldManager(self)
+        self.fields = FieldManager()
         self._partitions: dict = {}
         hook = getattr(ctx.runtime, "add_drain_hook", None)
         if hook is not None:
@@ -90,7 +90,7 @@ class LegateContext:
         return self.ctx.create_region(ispace, fs, name)
 
     def _new_array(self, shape: Tuple[int, ...]) -> "LegateArray":
-        block, lease = self.fields.checkout(shape)
+        block, lease = self.fields.checkout(shape, self._create_region)
         return LegateArray(self, block, lease, ViewSpec.identity(shape))
 
     def _partition_for(self, region, rects, disjoint=None, complete=None):

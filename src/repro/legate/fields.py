@@ -18,11 +18,17 @@ Blocks are reference-counted through :class:`_Lease`: views share their
 base array's lease, and a *fresh* lease wraps every checkout so CPython's
 one-shot ``__del__`` on the old lease can never resurrect a recycled
 block.
+
+The manager holds no reference back to its context: the region factory
+comes with each :meth:`FieldManager.checkout`.  The runtime keeps the
+manager's ``flush`` as a drain hook, so a back-reference would close a
+cycle through the context to the runtime and keep every finished
+runtime (and its analysis state) alive until a full garbage collection.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = ["FieldManager", "FieldBlock"]
 
@@ -69,8 +75,7 @@ class _Lease:
 class FieldManager:
     """(shape, dtype)-keyed pools of freed fields, with deferred frees."""
 
-    def __init__(self, lg) -> None:
-        self._lg = lg
+    def __init__(self) -> None:
         self._pool: Dict[Tuple[Tuple[int, ...], str], List[FieldBlock]] = {}
         self._pending: List[Tuple[int, FieldBlock]] = []
         self._launch_seq = 0
@@ -107,8 +112,11 @@ class FieldManager:
 
     # -- checkout ------------------------------------------------------------
 
-    def checkout(self, shape: Tuple[int, ...]) -> Tuple[FieldBlock, _Lease]:
-        """A backing block for ``shape``: pooled if possible, else fresh."""
+    def checkout(self, shape: Tuple[int, ...],
+                 create_region: Callable[[Tuple[int, ...]], Any]
+                 ) -> Tuple[FieldBlock, _Lease]:
+        """A backing block for ``shape``: pooled if possible, else a fresh
+        one whose region ``create_region(shape)`` allocates."""
         shape = tuple(int(e) for e in shape)
         self._retire()
         pool = self._pool.get((shape, "f8"))
@@ -117,7 +125,7 @@ class FieldManager:
             block.generation += 1
             self.reused += 1
         else:
-            block = FieldBlock(self._lg._create_region(shape), shape)
+            block = FieldBlock(create_region(shape), shape)
             self.created += 1
         return block, _Lease(self, block)
 

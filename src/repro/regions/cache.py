@@ -17,6 +17,7 @@ complexity class.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Tuple
 
 from .region import LogicalRegion
@@ -46,37 +47,45 @@ class PairCache:
     reinserted at the tail, evictions pop the head.  Bounded so pathological
     programs (millions of transient subregions) cannot grow it without
     limit; the default is far above any working set in this repo.
+
+    The caches are process-wide and the loopback backends run shards as
+    threads, so every operation holds a lock: a recency refresh or an
+    eviction is a read-then-delete that another thread can interleave
+    (KeyError, or "dictionary changed size during iteration").
     """
 
-    __slots__ = ("_data", "maxsize", "hits", "misses")
+    __slots__ = ("_data", "maxsize", "hits", "misses", "_lock")
 
     def __init__(self, maxsize: int = 1 << 16) -> None:
         self._data: Dict[Tuple[int, int], bool] = {}
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()
 
     def get(self, key: Tuple[int, int]):
-        data = self._data
-        hit = data.get(key)
-        if hit is not None:
-            self.hits += 1
-            # Refresh recency: move to the tail of the insertion order.
-            del data[key]
-            data[key] = hit
-        return hit
+        with self._lock:
+            data = self._data
+            hit = data.pop(key, None)
+            if hit is not None:
+                self.hits += 1
+                # Refresh recency: reinsert at the tail of insertion order.
+                data[key] = hit
+            return hit
 
     def put(self, key: Tuple[int, int], value: bool) -> None:
-        self.misses += 1
-        data = self._data
-        if len(data) >= self.maxsize:
-            del data[next(iter(data))]
-        data[key] = value
+        with self._lock:
+            self.misses += 1
+            data = self._data
+            if key not in data and len(data) >= self.maxsize:
+                del data[next(iter(data))]
+            data[key] = value
 
     def clear(self) -> None:
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._data.clear()
+            self.hits = 0
+            self.misses = 0
 
     def __len__(self) -> int:
         return len(self._data)

@@ -1,5 +1,8 @@
 """FieldManager pooling: deferred frees, reuse, bounded region counts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,65 +22,71 @@ class FakeContext:
         return f"region{len(self.created)}"
 
 
+def manager():
+    """A manager plus the region factory its checkouts allocate through
+    (the manager keeps no reference to its context)."""
+    return FieldManager(), FakeContext()._create_region
+
+
 class TestFieldManagerUnit:
     def test_fresh_checkout_allocates(self):
-        fm = FieldManager(FakeContext())
-        block, lease = fm.checkout((4,))
+        fm, make = manager()
+        block, lease = fm.checkout((4,), make)
         assert fm.created == 1 and fm.reused == 0
         assert block.shape == (4,)
 
     def test_free_is_deferred_until_a_launch_retires(self):
-        fm = FieldManager(FakeContext())
-        block, lease = fm.checkout((4,))
+        fm, make = manager()
+        block, lease = fm.checkout((4,), make)
         lease.release()
         # No launch retired yet: the block must NOT be reusable (a task
         # launched before the free may still read it).
-        b2, l2 = fm.checkout((4,))
+        b2, l2 = fm.checkout((4,), make)
         assert b2 is not block and fm.created == 2
         fm.note_launch()
-        b3, l3 = fm.checkout((4,))
+        b3, l3 = fm.checkout((4,), make)
         assert b3 is block and fm.reused == 1
 
     def test_release_is_idempotent(self):
-        fm = FieldManager(FakeContext())
-        _block, lease = fm.checkout((3,))
+        fm, make = manager()
+        _block, lease = fm.checkout((3,), make)
         lease.release()
         lease.release()
         assert fm.released == 1
 
     def test_gc_releases_through_lease(self):
-        fm = FieldManager(FakeContext())
-        block, lease = fm.checkout((5,))
+        fm, make = manager()
+        block, lease = fm.checkout((5,), make)
         del lease
         assert fm.released == 1
         fm.note_launch()
-        b2, _l2 = fm.checkout((5,))
+        b2, _l2 = fm.checkout((5,), make)
         assert b2 is block
 
     def test_pools_are_shape_keyed(self):
-        fm = FieldManager(FakeContext())
-        b1, l1 = fm.checkout((4,))
+        fm, make = manager()
+        b1, l1 = fm.checkout((4,), make)
         l1.release()
         fm.note_launch()
-        b2, _l2 = fm.checkout((5,))       # different shape: no reuse
+        b2, _l2 = fm.checkout((5,), make)       # different shape: no reuse
         assert b2 is not b1 and fm.reused == 0
 
     def test_generation_bumps_on_reuse(self):
-        fm = FieldManager(FakeContext())
-        b, lease = fm.checkout((2,))
+        fm, make = manager()
+        b, lease = fm.checkout((2,), make)
         assert b.generation == 0
         lease.release()
         fm.note_launch()
-        b2, _ = fm.checkout((2,))
+        b2, _ = fm.checkout((2,), make)
         assert b2.generation == 1
 
     def test_flush_retires_everything(self):
-        fm = FieldManager(FakeContext())
-        b, lease = fm.checkout((2,))
+        fm, make = manager()
+        b, lease = fm.checkout((2,), make)
         lease.release()
         assert fm.pooled == 1
         fm.flush()
-        b2, _ = fm.checkout((2,))
+        b2, _ = fm.checkout((2,), make)
         assert b2 is b
 
 
@@ -128,3 +137,42 @@ class TestBoundedRegions:
         outs = Runtime(num_shards=2).execute(control)
         for i, arr in enumerate(outs):
             assert np.array_equal(arr, np.full(7, float(i + 1)))
+
+
+class TestRuntimeFreedByRefcount:
+    """A finished runtime must not sit in a reference cycle: the field
+    manager is a drain hook of the runtime, so a manager -> context
+    back-reference would keep the runtime and all its analysis state
+    alive until a full garbage collection."""
+
+    @staticmethod
+    def _freed_without_gc(control, **runtime_kw):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            rt = Runtime(num_shards=2, **runtime_kw)
+            rt.execute(control)
+            ref = weakref.ref(rt)
+            del rt
+            return ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_sliced_stencil_runtime_freed(self):
+        from repro.legate import make_wave, sliced_stencil
+
+        init = make_wave(64)
+        assert self._freed_without_gc(
+            lambda ctx: sliced_stencil(ctx, init, 3, 4))
+
+    @pytest.mark.parametrize("auto_trace", [False, True])
+    def test_logistic_regression_runtime_freed(self, auto_trace):
+        from repro.legate import logistic_regression
+
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((64, 4))
+        y = (x @ rng.standard_normal(4) > 0).astype(np.float64)
+        assert self._freed_without_gc(
+            lambda ctx: logistic_regression(ctx, x, y, 3, 0.5, 4),
+            auto_trace=auto_trace)

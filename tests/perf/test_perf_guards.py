@@ -95,3 +95,34 @@ class TestFunctionalSoak:
             fine.analyze(op)
         for state in fine._state.values():
             assert len(state.write_epoch) + len(state.read_epoch) <= 20
+
+
+class TestFenceProofCoverage:
+    """validate() stays cheap only while the fine scan proves every
+    cross-shard edge of an untraced run covered as it finds it.  A change
+    that silently routes edges back to the full any-pair check would keep
+    every verdict and lose the speed; these counts catch it."""
+
+    @staticmethod
+    def _check(rt):
+        rt.pipeline.validate()
+        fine = rt.pipeline.fine
+        assert fine.result.cross_edges
+        assert fine.fallback_edges == 0
+
+    def test_sliced_stencil_sends_no_edge_to_the_fallback(self):
+        from repro.legate import make_wave, sliced_stencil
+        from repro.runtime import Runtime
+
+        init = make_wave(256)
+        rt = Runtime(num_shards=2)
+        rt.execute(lambda ctx: sliced_stencil(ctx, init, 4, 4))
+        self._check(rt)
+
+    def test_stencil2d_control_sends_no_edge_to_the_fallback(self):
+        from repro.apps.stencil import stencil2d_control
+        from repro.runtime import Runtime
+
+        rt = Runtime(num_shards=4)
+        rt.execute(stencil2d_control, 16, 4, 4)
+        self._check(rt)
