@@ -17,13 +17,23 @@ logically identical resources, so each shard's checker *interns* runtime
 resources (regions, partitions, fields, futures...) into shard-local ids
 assigned in API-call order.  Control determinism guarantees identical
 numbering across shards, making the hashes comparable.
+
+Long all-float sequences (the explicit payloads of array frontends) are
+encoded by a vectorized NumPy path that reproduces the recursive encoding
+byte for byte, and the result is memoized per monitor in a
+:class:`CanonMemo` keyed by the payload's exact float64 bit pattern, so a
+payload every shard passes is encoded once per program.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..faults.injector import FaultInjector, ShardCrash
 from ..obs.events import (CAT_DETERMINISM, CONTROL_SHARD, EV_DET_CHECK,
@@ -32,8 +42,144 @@ from ..obs.profiler import Profiler, get_profiler
 from .collectives import Collectives
 
 __all__ = ["ControlDeterminismViolation", "DivergenceDiagnosis",
-           "ShardHasher", "DeterminismMonitor", "stream_digest",
+           "ShardHasher", "DeterminismMonitor", "CanonMemo", "stream_digest",
            "locate_divergence"]
+
+#: Float sequences shorter than this take the recursive path: below it the
+#: vectorized encoder's fixed cost exceeds the per-element one it saves.
+FAST_FLOATS_MIN = 64
+#: Elements encoded per NumPy pass, so temporaries stay ~1 MB per pass.
+_CHUNK = 8192
+#: Bytes of keys plus encodings one :class:`CanonMemo` may hold.
+_MEMO_BYTES = 64 << 20
+
+# One row per float of ``F[-]0x<lead>.<13 hex digits>p<exponent>,`` in
+# fixed columns; a per-row mask drops the columns a value does not use.
+_COL_SIGN, _COL_MANT, _COL_P, _WIDTH = 1, 6, 19, 26
+_ZERO = 2047          # table row of ±0.0; rows 0..2046 are biased exponents
+_tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+
+def _float_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encoder tables, built on first use so importing costs nothing.
+
+    * ``rows[e]``: the full row of a value whose exponent row is ``e``,
+      mantissa digits still ``0``;
+    * ``used[2 * e + sign]``: which of its columns the value spells;
+    * ``hex_pairs[octet]``: the two hex digits of one byte.
+    """
+    global _tables
+    if _tables is None:
+        texts = []
+        for e in range(2048):
+            lead = b"1" if 0 < e < _ZERO else b"0"
+            exp = (b"+0" if e == _ZERO else b"-1022" if e == 0
+                   else b"%+d" % (e - 1023))
+            texts.append((b"F-0x" + lead + b"." + b"0" * 13 + b"p"
+                          + exp).ljust(_WIDTH - 1, b"\0") + b",")
+        rows = np.frombuffer(b"".join(texts), dtype=np.uint8).reshape(
+            2048, _WIDTH)
+        used = np.repeat(rows != 0, 2, axis=0)
+        used[0::2, _COL_SIGN] = False
+        used[2 * _ZERO:, _COL_MANT + 1:_COL_P] = False
+        hex_pairs = np.frombuffer(
+            b"".join(b"%02x" % b for b in range(256)),
+            dtype=np.uint8).reshape(256, 2)
+        _tables = (rows, used, hex_pairs)
+    return _tables
+
+
+def _encode_finite(bits: np.ndarray) -> bytes:
+    """``b",".join(b"F" + v.hex().encode() for v in floats) + b","``.
+
+    ``bits`` holds finite float64 values viewed as uint64.  ``float.hex``
+    spells a nonzero value as ``[-]0x<lead>.<13 hex digits>p<exp>``, with
+    lead 1 for normals and 0 (exponent -1022) for subnormals, and zero as
+    ``[-]0x0.0p+0``; all but the sign, the exponent's width and zero's
+    12 trailing digits sit in fixed columns.
+    """
+    row_table, used_table, hex_pairs = _float_tables()
+    n = bits.shape[0]
+    mant = bits & np.uint64((1 << 52) - 1)
+    exp_row = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.intp)
+    exp_row[(exp_row == 0) & (mant == 0)] = _ZERO
+    rows = row_table.take(exp_row, axis=0)
+    # The 52 mantissa bits are the low 13 hex digits of big-endian bytes
+    # 1..7 (byte 0 is zero).
+    octets = mant.astype(">u8").view(np.uint8).reshape(n, 8)[:, 1:]
+    rows[:, _COL_MANT:_COL_P] = hex_pairs.take(
+        octets, axis=0).reshape(n, 14)[:, 1:]
+    sign = (bits >> np.uint64(63)).astype(np.intp)
+    return rows[used_table.take(2 * exp_row + sign, axis=0)].tobytes()
+
+
+def encode_float_seq(values: Any) -> Optional[bytes]:
+    """Canonical bytes of a sequence of exact ``float``s: ``T(F…,F…)``.
+
+    Byte-identical to the recursive :meth:`ShardHasher._canon` on the
+    same sequence (``values`` may also be its float64 array), encoded by
+    :func:`_encode_finite` in chunks.  None if a value is an inf or nan:
+    those take the recursive path.
+    """
+    bits = np.asarray(values, dtype=np.float64).view(np.uint64)
+    if ((bits >> np.uint64(52)) & np.uint64(0x7FF) == 0x7FF).any():
+        return None
+    parts = [b"T("]
+    parts.extend(_encode_finite(bits[lo:lo + _CHUNK])
+                 for lo in range(0, len(bits), _CHUNK))
+    if len(parts) > 1:
+        parts[-1] = parts[-1][:-1]     # the last value's trailing comma
+    parts.append(b")")
+    return b"".join(parts)
+
+
+class CanonMemo:
+    """Canonical bytes of long float payloads, shared by one monitor's hashers.
+
+    The key is the payload's float64 bit pattern (never float ``==``:
+    ``0.0 == -0.0``, but the two encode differently), so a payload that
+    every shard rebuilds from the same data is encoded once.  Entries stop
+    being added once keys plus encodings reach ``_MEMO_BYTES``; the memo
+    lives and dies with its owner, so nothing grows process-wide.  Hits and
+    encoded bytes are counted under ``core.determinism`` while the profiler
+    is enabled.
+    """
+
+    def __init__(self, profiler: Optional[Profiler] = None):
+        self.profiler = profiler if profiler is not None else get_profiler()
+        self._entries: Dict[bytes, bytes] = {}
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def floats(self, values: Sequence[Any]) -> Optional[bytes]:
+        """Encoding of ``values`` if every element is an exact, finite
+        ``float``, else None (the caller falls back to the recursive
+        encoding)."""
+        n = len(values)
+        if (type(values[0]) is not float
+                or operator.countOf(map(type, values), float) != n):
+            return None
+        arr = np.fromiter(values, dtype=np.float64, count=n)
+        key = arr.tobytes()
+        prof = self.profiler
+        encoded = self._entries.get(key)
+        if encoded is not None:
+            if prof.enabled:
+                prof.count("core.determinism.memo_hits")
+            return encoded
+        encoded = encode_float_seq(arr)
+        if encoded is None:
+            return None
+        if prof.enabled:
+            prof.count("core.determinism.encodes")
+            prof.count("core.determinism.encoded_bytes", len(encoded))
+        size = len(key) + len(encoded)
+        with self._lock:
+            if (key not in self._entries
+                    and self._bytes + size <= _MEMO_BYTES):
+                self._entries[key] = encoded
+                self._bytes += size
+        return encoded
 
 
 def stream_digest(calls: Sequence[int]) -> int:
@@ -208,29 +354,44 @@ class ShardHasher:
     without changing the analyzed program — and ``shard_crash`` raises
     :class:`~repro.faults.ShardCrash` in place of recording a call.  Both
     are behind an ``enabled`` guard so the default path is unchanged.
+
+    ``memo`` is the :class:`CanonMemo` for long float payloads; a
+    :class:`DeterminismMonitor` passes one shared by all its hashers, and a
+    standalone hasher gets its own.
     """
 
     def __init__(self, shard: int,
-                 injector: Optional[FaultInjector] = None):
+                 injector: Optional[FaultInjector] = None,
+                 memo: Optional[CanonMemo] = None):
         self.shard = shard
         self.injector = injector
-        self._intern: Dict[int, int] = {}
-        self._next_local = 0
+        self.memo = memo if memo is not None else CanonMemo()
+        # id(obj) -> (local id, obj): holding the object pins its id, so a
+        # freed temporary's address can never be reused by a later resource.
+        self._intern: Dict[int, Tuple[int, Any]] = {}
         self.calls: List[int] = []          # 128-bit hashes, in call order
         self.descriptions: List[str] = []   # human-readable, for error messages
 
     def intern(self, obj: Any) -> int:
         """Shard-local id for a runtime resource, by first-use order."""
-        key = id(obj)
-        local = self._intern.get(key)
-        if local is None:
-            local = self._next_local
-            self._next_local += 1
-            self._intern[key] = local
-        return local
+        entry = self._intern.get(id(obj))
+        if entry is None:
+            entry = (len(self._intern), obj)
+            self._intern[id(obj)] = entry
+        return entry[0]
 
     def _canon(self, value: Any) -> bytes:
         """Canonical byte encoding of an argument value."""
+        kind = type(value)
+        # The common exact types first, one identity test each.  Everything
+        # else (None, bool, subclasses, resources) takes the isinstance
+        # chain below, which gives an exact type the same bytes.
+        if kind is int:
+            return b"I%d" % value
+        if kind is tuple or kind is list:
+            return self._canon_seq(value)
+        if kind is str:
+            return b"S" + value.encode()
         if value is None:
             return b"N"
         if isinstance(value, bool):
@@ -244,8 +405,7 @@ class ShardHasher:
         if isinstance(value, bytes):
             return b"Y" + value
         if isinstance(value, (tuple, list)):
-            inner = b",".join(self._canon(v) for v in value)
-            return b"T(" + inner + b")"
+            return self._canon_seq(value)
         if isinstance(value, dict):
             items = sorted((str(k), v) for k, v in value.items())
             inner = b",".join(
@@ -256,6 +416,14 @@ class ShardHasher:
             return b"Z(" + inner + b")"
         # Runtime resource: intern by first-use order.
         return b"R" + str(self.intern(value)).encode()
+
+    def _canon_seq(self, value: Sequence[Any]) -> bytes:
+        """``T(`` + element encodings joined by ``,`` + ``)``."""
+        if len(value) >= FAST_FLOATS_MIN:
+            encoded = self.memo.floats(value)
+            if encoded is not None:
+                return encoded
+        return b"T(" + b",".join(map(self._canon, value)) + b")"
 
     def record(self, api_call: str, *args: Any, **kwargs: Any) -> int:
         """Hash one API call; returns the 128-bit digest as an int."""
@@ -324,12 +492,14 @@ class DeterminismMonitor:
                  localize: bool = False,
                  on_batch: Optional[Callable[[int], None]] = None):
         self.injector = injector
-        self.hashers = [ShardHasher(i, injector) for i in range(num_shards)]
+        self.profiler = profiler if profiler is not None else get_profiler()
+        self.memo = CanonMemo(self.profiler)
+        self.hashers = [ShardHasher(i, injector, self.memo)
+                        for i in range(num_shards)]
         self.batch = max(1, batch)
         self.enabled = enabled
         self.localize = localize
         self.on_batch = on_batch
-        self.profiler = profiler if profiler is not None else get_profiler()
         self.collectives = collectives or Collectives(
             num_shards, profiler=self.profiler)
         self._verified = 0
@@ -358,7 +528,7 @@ class DeterminismMonitor:
         checks stall (``_ready() <= 0``) until it catches back up to the
         verified frontier, i.e. it rejoins at the next batch boundary.
         """
-        self.hashers[shard] = ShardHasher(shard, self.injector)
+        self.hashers[shard] = ShardHasher(shard, self.injector, self.memo)
         self._active.add(shard)
 
     def _active_hashers(self) -> List[ShardHasher]:

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from ..core.determinism import (ControlDeterminismViolation, ShardHasher,
-                                locate_divergence, stream_digest)
+from ..core.determinism import (CanonMemo, ControlDeterminismViolation,
+                                ShardHasher, locate_divergence,
+                                stream_digest)
 from ..faults.injector import FaultInjector
 from ..obs.events import CAT_DETERMINISM, EV_DET_CHECK, EV_DET_LOCALIZE
 from ..obs.profiler import Profiler, get_profiler
@@ -76,12 +77,13 @@ class DistDeterminismMonitor:
         self.collectives = collectives
         self.rank = collectives.rank
         self.num_shards = collectives.num_shards
-        self.hasher = ShardHasher(self.rank, injector)
+        self.profiler = profiler if profiler is not None else get_profiler()
+        self.hasher = ShardHasher(self.rank, injector,
+                                  CanonMemo(self.profiler))
         self.batch = max(1, batch)
         self.enabled = enabled
         self.localize = localize
         self.coalesce = max(1, coalesce)
-        self.profiler = profiler if profiler is not None else get_profiler()
         self._verified = 0
         self._staged: List[Tuple[int, int, int, int]] = []
         self.checks_performed = 0

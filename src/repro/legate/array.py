@@ -129,7 +129,7 @@ class LegateContext:
         """Materialize explicit values through an initializer task."""
         data = np.asarray(values, dtype=np.float64)
         arr = self._new_array(data.shape)
-        flat = tuple(float(x) for x in data.reshape(-1))
+        flat = tuple(data.reshape(-1).tolist())
         self.fields.note_launch()
         self.ctx.index_launch(
             ops.init_body, list(range(len(arr._tiling()))),

@@ -96,13 +96,13 @@ def fill_tile_body(point, out_arg, value):
 
 
 def init_body(point, out, payload, shape):
-    """Materialize explicit values into one tile of a fresh array."""
-    view = out["v"].view
-    lo = out.region.index_space.rect.lo
-    full = np.array(payload).reshape(shape)
-    sl = tuple(slice(l, l + e) for l, e in
-               zip(lo, out.region.index_space.rect.extents))
-    view[...] = full[sl]
+    """Materialize one tile from its band of leading-axis payload rows."""
+    rect, row = out.region.index_space.rect, int(np.prod(shape[1:]))
+    lo, ext = rect.lo, rect.extents
+    band = np.array(payload[lo[0] * row:(lo[0] + ext[0]) * row],
+                    dtype=np.float64).reshape((ext[0],) + tuple(shape[1:]))
+    out["v"].view[...] = band[(slice(None),) + tuple(
+        slice(l, l + e) for l, e in zip(lo[1:], ext[1:]))]
 
 
 # -- reductions ---------------------------------------------------------------

@@ -81,11 +81,12 @@ class PairCache:
                 del data[next(iter(data))]
             data[key] = value
 
-    def clear(self) -> None:
+    def clear(self, keep_stats: bool = False) -> None:
         with self._lock:
             self._data.clear()
-            self.hits = 0
-            self.misses = 0
+            if not keep_stats:
+                self.hits = 0
+                self.misses = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -136,13 +137,15 @@ def cached_region_contains(outer: LogicalRegion, inner: LogicalRegion) -> bool:
     return result
 
 
-def clear_region_caches() -> None:
+def clear_region_caches(keep_stats: bool = False) -> None:
     """Drop both caches and every registered dependent table.
 
     Required for correctness only when region uids are about to be reused
-    (``fresh_id_epoch``); otherwise a test/benchmark hygiene hook."""
-    _alias_cache.clear()
-    _contains_cache.clear()
+    (``fresh_id_epoch``).  The runtime also calls it, with ``keep_stats``
+    so the hit/miss counters keep counting, whenever no program is
+    executing: entries of finished programs can never hit again."""
+    _alias_cache.clear(keep_stats)
+    _contains_cache.clear(keep_stats)
     for fn in _extra_clearers:
         fn()
 

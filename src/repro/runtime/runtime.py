@@ -25,6 +25,7 @@ paper's scaling numbers.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
@@ -48,12 +49,34 @@ from ..core.sharding import ShardingFunction
 from ..oracle import (Privilege, READ_ONLY, READ_WRITE, RegionRequirement,
                       WRITE_DISCARD, reduce_priv)
 from ..regions import (Field, FieldSpace, IndexSpace, LogicalRegion,
-                       Partition, Rect)
+                       Partition, Rect, clear_region_caches)
 from .future import Future, FutureMap
 from .mapper import DefaultMapper, Mapper
 from .store import FieldAccessor, RegionStore
 
 __all__ = ["Runtime", "Context", "RegionArg", "PRIVILEGES"]
+
+# Runtimes inside ``execute`` in this process.  The process-wide analysis
+# caches key on region uids, which are never reused, so once the count is
+# back to zero no entry can hit again; they are emptied then, or every
+# finished program's requirements would stay reachable from them.
+_executing = 0
+_executing_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _executing_program():
+    global _executing
+    with _executing_lock:
+        _executing += 1
+    try:
+        yield
+    finally:
+        with _executing_lock:
+            _executing -= 1
+            if _executing == 0:
+                clear_region_caches(keep_stats=True)
+
 
 PRIVILEGES = {
     "ro": READ_ONLY,
@@ -215,18 +238,19 @@ class Runtime:
                 "and analysis state belong to one replicated execution — "
                 "create a fresh Runtime for another run")
         self._executed = True
-        if self.backend != "inprocess":
-            return self._execute_gang(control, args)
-        if self.resilience is None:
-            return self._execute_replicated(control, args)
-        while True:
-            try:
-                result = self._execute_replicated(control, args)
-            except (ControlDeterminismViolation, ShardCrash) as failure:
-                self._handle_failure(failure)
-                continue
-            self._verify_recovered_prefix()
-            return result
+        with _executing_program():
+            if self.backend != "inprocess":
+                return self._execute_gang(control, args)
+            if self.resilience is None:
+                return self._execute_replicated(control, args)
+            while True:
+                try:
+                    result = self._execute_replicated(control, args)
+                except (ControlDeterminismViolation, ShardCrash) as failure:
+                    self._handle_failure(failure)
+                    continue
+                self._verify_recovered_prefix()
+                return result
 
     def _execute_replicated(self, control: Callable[..., Any],
                             args: Tuple[Any, ...]) -> Any:

@@ -8,7 +8,9 @@ profiling on and with profiling off across 1–4 shards, produce
 
 * byte-identical region contents and reduction results,
 * identical task-graph signatures (tasks and dependences),
-* identical control-determinism hash streams on every shard,
+* identical control-determinism hash streams on every shard, including
+  calls whose long float payloads go through the memoized vectorized
+  encoder,
 * identical fence-insertion, fence-elision and epoch-scan counts,
 
 while the profiled run *does* record a timeline and the unprofiled run
@@ -33,6 +35,14 @@ def _scale(point, arg, factor):
 
 def _blend(point, owned, ghost):
     owned["y"].view[...] += float(ghost["x"].view.mean())
+
+
+def _add_first(point, arg, payload):
+    arg["x"].view[...] += payload[1]
+
+
+#: Elements of the op-code-4 payload: long enough for the vectorized path.
+PAYLOAD = 200
 
 
 def _tile_sum(point, arg):
@@ -63,6 +73,13 @@ def make_control(script, tiles=4, cells=16, repeat=1):
                     ctx.index_launch(_blend, dom,
                                      [(owned, "y", "rw"),
                                       (ghost, "x", "ro")])
+                elif code == 4:
+                    # A long float payload: hashed by the vectorized
+                    # encoder, and by every shard but the first from the
+                    # monitor's memo.
+                    payload = tuple(value * k for k in range(PAYLOAD))
+                    ctx.index_launch(_add_first, dom, [(owned, "x", "rw")],
+                                     args=(payload,))
                 else:
                     fm = ctx.index_launch(_tile_sum, dom,
                                           [(owned, "x", "ro")])
@@ -116,7 +133,7 @@ def run(script, shards, auto_trace, profiler=None):
 
 
 scripts = st.lists(
-    st.tuples(st.integers(0, 3),
+    st.tuples(st.integers(0, 4),
               st.floats(0.5, 2.0, allow_nan=False)),
     min_size=1, max_size=6)
 
@@ -143,6 +160,15 @@ def test_profiling_is_pure_observation(script, shards, auto_trace):
     # ...while the profiled run recorded a timeline and metrics
     assert prof.events, "enabled profiler recorded nothing"
     assert prof.metrics.counters.get("pipeline.ops", 0) > 0
+    payload_launches = 3 * sum(code == 4 for code, _v in script)
+    if payload_launches:
+        # Each payload is encoded once per program; the other shards and
+        # the repeats of an equal payload hit the memo.
+        counters = prof.metrics.counters
+        encodes = counters["core.determinism.encodes"]
+        assert 1 <= encodes <= payload_launches
+        assert (encodes + counters.get("core.determinism.memo_hits", 0)
+                == payload_launches * shards)
     # ...and the unprofiled run touched the (disabled) global not at all.
     assert len(baseline.events) + len(baseline.metrics) == before
 

@@ -126,3 +126,77 @@ class TestFenceProofCoverage:
         rt = Runtime(num_shards=4)
         rt.execute(stencil2d_control, 16, 4, 4)
         self._check(rt)
+
+
+class TestPayloadEncodedOnce:
+    """Every shard passes the same explicit ``from_values`` payload to the
+    determinism hasher; the monitor's memo must encode it once and serve
+    the other shard from the memo.  A change that re-encodes per shard
+    keeps every digest and silently doubles the hashing cost."""
+
+    def test_logistic_regression_payloads(self):
+        import numpy as np
+
+        from repro.legate import logistic_regression
+        from repro.obs import Profiler
+        from repro.runtime import Runtime
+
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((256, 8))
+        y = (x @ rng.standard_normal(8) > 0).astype(np.float64)
+        prof = Profiler().enable()
+        rt = Runtime(num_shards=2, profiler=prof)
+        rt.execute(lambda ctx: logistic_regression(ctx, x, y, 3, 0.5, 4))
+        counters = prof.metrics.counters
+        payloads = 2                              # X and y
+        assert counters["core.determinism.encodes"] == payloads
+        assert counters["core.determinism.memo_hits"] == payloads
+        assert counters["core.determinism.encoded_bytes"] > 8 * x.size
+        assert len(set(rt.determinism_digests())) == 1
+
+
+class TestAnalysisCachesReleasedBetweenPrograms:
+    """The process-wide analysis caches key on region uids, which are
+    never reused.  Once no program is executing they are emptied, so a
+    long-lived process does not keep every finished program's
+    requirements reachable (peak RSS would grow with programs run)."""
+
+    @staticmethod
+    def _sizes():
+        from repro.core.coarse import coarse_decision_stats
+        from repro.core.fine import fine_decision_stats
+        from repro.regions import cache
+        return (fine_decision_stats()["classes"],
+                coarse_decision_stats()["classes"],
+                len(cache._alias_cache), len(cache._contains_cache))
+
+    def test_emptied_after_each_program(self):
+        from repro.legate import make_wave, sliced_stencil
+        from repro.regions import region_cache_stats
+        from repro.runtime import Runtime
+
+        init = make_wave(64)
+        for _ in range(3):
+            rt = Runtime(num_shards=2)
+            rt.execute(lambda ctx: sliced_stencil(ctx, init, 3, 4))
+            assert self._sizes() == (0, 0, 0, 0)
+        stats = region_cache_stats()
+        assert stats["alias_hits"] + stats["alias_misses"] > 0
+        rt.pipeline.validate()          # still valid after the release
+
+    def test_kept_while_another_program_executes(self):
+        from repro.legate import make_wave, sliced_stencil
+        from repro.runtime import Runtime
+
+        init = make_wave(64)
+        seen = []
+
+        def outer(ctx):
+            sliced_stencil(ctx, init, 2, 4)
+            Runtime(num_shards=1).execute(
+                lambda inner: sliced_stencil(inner, init, 2, 2))
+            seen.append(self._sizes())
+
+        Runtime(num_shards=2).execute(outer)
+        assert all(size[0] > 0 for size in seen)
+        assert self._sizes() == (0, 0, 0, 0)
